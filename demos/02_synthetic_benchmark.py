@@ -23,8 +23,8 @@ print(f"{len(train_seqs)} train / {len(test_seqs)} test samples, "
       f"dims (C,T,J,E) = {train_seqs[0].coords.shape}")
 
 
-def displacement(seq):
-    centroids = seq.coords.mean(axis=(1, 2))  # (C, E)
+def displacement(coords):
+    centroids = coords.mean(axis=(1, 2))  # (C, E)
     return centroids[:, 1] - centroids[:, 0]
 
 
@@ -43,11 +43,11 @@ def nearest_centroid_accuracy(train, test, features):
     return hits / len(test)
 
 
-acc_raw = nearest_centroid_accuracy(train_seqs, test_seqs, displacement)
+acc_raw = nearest_centroid_accuracy(train_seqs, test_seqs, lambda s: displacement(s.coords))
 print(f"\nnearest-centroid on (centroid_1 - centroid_0):   {acc_raw:.3f}")
 
 acc_centered = nearest_centroid_accuracy(
-    train_seqs, test_seqs, lambda s: displacement(s2com_per_entity(s))
+    train_seqs, test_seqs, lambda s: displacement(s2com_per_entity(s.coords))
 )
 print(f"same oracle after per-entity centering:          {acc_centered:.3f}  (chance = 0.25)")
 

@@ -51,7 +51,6 @@ from .skeleton import (
     CorruptionConfig,
     GraphPrior,
     SkeletonSequence,
-    augment_entity_permute,
     augment_random_shift,
     corrupt,
     khop_bones,

@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -54,14 +53,6 @@ def _say(message):
         print(message)
 
 
-def _threads():
-    raw = os.environ.get("CHASE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CHASE_THREADS must be an integer, got {raw!r}")
-
-
 def _load_json(path):
     try:
         loaded = json.loads(Path(path).read_text())
@@ -91,7 +82,6 @@ class _Manifest:
             "seed": seed,
             "artifacts": sorted(str(a) for a in artifacts),
             "version": __version__,
-            "threads": _threads(),
         }
         self.path = Path(path)
         self.text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"

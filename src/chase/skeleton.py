@@ -2,8 +2,10 @@
 graph-based modality transforms.
 
 A sequence holds coordinates of shape (C, T, J, E): C Cartesian channels,
-T frames, J joints per entity, E entities. All public transforms return new
-sequences; coordinates are float64 and must stay finite.
+T frames, J joints per entity, E entities; coordinates are float64 and must
+stay finite. The normalizers take and return coordinate arrays of shape
+(..., C, T, J, E), so one call serves a single sample or a batch; the
+sequence transforms (`corrupt`, `khop_bones`) return new sequences.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "std_scale",
     "ChannelBatchNorm",
     "augment_random_shift",
-    "augment_entity_permute",
     "corrupt",
     "khop_bones",
     "stack_coords",
@@ -83,30 +84,32 @@ def validate(seq):
         raise DataValidationError("; ".join(problems))
 
 
-def s2com_per_entity(seq):
+def s2com_per_entity(x):
     """Shift each entity to its own spatiotemporal center of mass.
 
-    Destroys all inter-entity offsets: any two entities at constant positions
-    both map to zero.
+    x: array (..., C, T, J, E), one sample or a batch. Destroys all
+    inter-entity offsets: any two entities at constant positions both map to
+    zero.
     """
-    mean = seq.coords.mean(axis=(1, 2), keepdims=True)  # (C, 1, 1, E)
-    return seq.with_coords(seq.coords - mean)
+    x = np.asarray(x, dtype=np.float64)
+    return x - x.mean(axis=(-3, -2), keepdims=True)
 
 
-def s2com_global(seq):
-    """Shift all coordinates by the single center of mass over (T, J, E)."""
-    mean = seq.coords.mean(axis=(1, 2, 3), keepdims=True)
-    return seq.with_coords(seq.coords - mean)
+def s2com_global(x):
+    """Shift each sample of x (..., C, T, J, E) by its center of mass over (T, J, E)."""
+    x = np.asarray(x, dtype=np.float64)
+    return x - x.mean(axis=(-3, -2, -1), keepdims=True)
 
 
-def std_scale(seq):
-    """Center globally, then scale each channel to unit standard deviation."""
-    centered = s2com_global(seq)
-    std = centered.coords.std(axis=(1, 2, 3), keepdims=True)
+def std_scale(x):
+    """Center each sample globally, then scale each channel to unit standard deviation."""
+    centered = s2com_global(x)
+    std = centered.std(axis=(-3, -2, -1), keepdims=True)
     if np.any(std == 0.0):
-        ch = int(np.argwhere(std.ravel() == 0.0)[0][0])
-        raise DegenerateInputError(f"channel {ch} has zero standard deviation")
-    return centered.with_coords(centered.coords / std)
+        *sample, ch = np.argwhere(std[..., 0, 0, 0] == 0.0)[0]
+        where = f"sample {', '.join(map(str, sample))}, " if sample else ""
+        raise DegenerateInputError(f"{where}channel {ch} has zero standard deviation")
+    return centered / std
 
 
 class ChannelBatchNorm:
@@ -147,20 +150,17 @@ class ChannelBatchNorm:
         self.running_var = np.array(tensors["bn.var"], dtype=np.float64)
 
 
-def augment_random_shift(seq, range_r, seed):
-    """Add one uniform random vector in [-r, r]^C to every coordinate."""
+def augment_random_shift(x, range_r, seed):
+    """Add one uniform random vector in [-r, r]^C to every coordinate of each sample.
+
+    x: array (..., C, T, J, E); the draws form one (..., C) block.
+    """
     if range_r < 0:
         raise ValueError(f"shift range must be >= 0, got {range_r}")
+    x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    shift = rng.uniform(-range_r, range_r, size=seq.coords.shape[0])
-    return seq.with_coords(seq.coords + shift.reshape(-1, 1, 1, 1))
-
-
-def augment_entity_permute(seq, seed):
-    """Apply a uniformly random permutation to the entity axis."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(seq.coords.shape[3])
-    return seq.with_coords(seq.coords[:, :, :, perm])
+    shift = rng.uniform(-range_r, range_r, size=x.shape[:-3])
+    return x + shift[..., None, None, None]
 
 
 @dataclass

@@ -23,18 +23,31 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Value
 from .discrepancy import mpmmd_loss
 from .errors import (
     ConfigError,
-    DegenerateInputError,
     FormatError,
     NonFiniteError,
     TrainingDiverged,
 )
-from .shift import ClbParams, SegmentSpec, init_clb_params, sample_pairs, chase_forward
-from .skeleton import ChannelBatchNorm, corrupt, stack_coords
-from .synth import load_dataset  # noqa: F401  (re-exported convenience)
+from .shift import (
+    ClbParams,
+    SegmentSpec,
+    _kaiming_uniform,
+    chase_forward,
+    init_clb_params,
+    sample_pairs,
+)
+from .skeleton import (
+    ChannelBatchNorm,
+    CorruptionConfig,
+    augment_random_shift,
+    corrupt,
+    s2com_global,
+    s2com_per_entity,
+    stack_coords,
+    std_scale,
+)
 
 __all__ = [
     "BackboneConfig",
@@ -137,11 +150,6 @@ class TrainConfig:
     def lr_at(self, epoch):
         decays = sum(1 for d in self.lr_decay_epochs if epoch >= d)
         return self.lr * self.decay_rate ** decays
-
-
-def _kaiming_uniform(rng, fan_in, shape):
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
 
 
 class Model:
@@ -255,38 +263,29 @@ def sgd_step(params, velocities, lr, momentum):
         p.data = p.data - lr * (g + momentum * v)
 
 
-def _normalize_arrays(model, raw, training, epoch=0, batch_index=0, seed=0):
-    """Apply the model's input normalizer to a raw (N,C,T,J,E) array."""
+def _backbone_input(model, raw, training=False, aug_seed=None):
+    """Apply the model's input normalizer to a raw (N, C, T, J, E) array.
+
+    In training, `chase` returns a Value whose graph reaches the block's
+    weights, and `aug` draws its shifts from the `aug_seed` stream; otherwise
+    the result is an array.
+    """
     kind = model.normalizer
-    if kind in ("vanilla", "chase"):
-        return raw
+    if kind == "chase":
+        return chase_forward(ad.as_value(raw) if training else raw, model.clb)
     if kind == "s2com":
-        return raw - raw.mean(axis=(2, 3), keepdims=True)
+        return s2com_per_entity(raw)
     if kind == "s2com_global":
-        return raw - raw.mean(axis=(2, 3, 4), keepdims=True)
+        return s2com_global(raw)
     if kind == "s2com_global_std":
-        centered = raw - raw.mean(axis=(2, 3, 4), keepdims=True)
-        std = centered.std(axis=(2, 3, 4), keepdims=True)
-        if np.any(std == 0.0):
-            raise DegenerateInputError("zero per-channel spread; cannot std-scale")
-        return centered / std
+        return std_scale(raw)
     if kind == "batchnorm":
         return model.bn(raw, training=training)
-    if kind == "aug":
-        if not training or model.aug_range == 0.0:
-            return raw
-        rng = np.random.default_rng([seed, _STREAM_AUG, epoch, batch_index])
-        shifts = rng.uniform(-model.aug_range, model.aug_range,
-                             size=(raw.shape[0], raw.shape[1]))
-        return raw + shifts[:, :, None, None, None]
+    if kind == "aug" and training and model.aug_range != 0.0:
+        return augment_random_shift(raw, model.aug_range, aug_seed)
+    if kind in ("vanilla", "aug"):
+        return raw
     raise ConfigError(f"unknown normalizer {kind!r}")
-
-
-def _forward(model, coords, training):
-    """coords: normalized array -> (logits Value, x_hat Value)."""
-    x = ad.as_value(coords)
-    x_hat = chase_forward(x, model.clb) if model.normalizer == "chase" else x
-    return backbone_forward(model.backbone, x_hat), x_hat
 
 
 def train(train_seqs, cfg, test_seqs=None, resume=None, on_epoch=None):
@@ -334,10 +333,9 @@ def train(train_seqs, cfg, test_seqs=None, resume=None, on_epoch=None):
                 idx = order[lo:lo + cfg.batch_size]
                 if idx.size < 2 and cfg.normalizer == "batchnorm":
                     continue
-                raw = coords_all[idx]
-                coords = _normalize_arrays(model, raw, training=True, epoch=epoch,
-                                           batch_index=b, seed=cfg.seed)
-                logits, x_hat = _forward(model, coords, training=True)
+                x_hat = _backbone_input(model, coords_all[idx], training=True,
+                                        aug_seed=[cfg.seed, _STREAM_AUG, epoch, b])
+                logits = backbone_forward(model.backbone, x_hat)
                 pairs = None
                 if cfg.normalizer == "chase" and cfg.lambda_ > 0 and e >= 2:
                     pairs = sample_pairs(e, cfg.pairs_per_batch,
@@ -390,17 +388,13 @@ def evaluate(model, seqs, corruption=None, batch_size=128):
     hits = 0
     for lo in range(0, len(seqs), batch_size):
         chunk = seqs[lo:lo + batch_size]
-        raw = stack_coords(chunk)
-        coords = _normalize_arrays(model, raw, training=False)
-        logits, _ = _forward(model, coords, training=False)
+        logits = backbone_forward(model.backbone, _backbone_input(model, stack_coords(chunk)))
         hits += int(np.sum(np.argmax(logits.data, axis=1) == labels[lo:lo + len(chunk)]))
     return hits / len(seqs)
 
 
 def corruption_table(model, seqs, sigmas=(1e-3, 1e-2), mask_probs=(1e-2, 1e-1), seed=0):
     """Noise-only and mask-only accuracy grid, one row per corruption kind."""
-    from .skeleton import CorruptionConfig
-
     return {
         "clean": evaluate(model, seqs),
         "noise": {
@@ -416,15 +410,7 @@ def corruption_table(model, seqs, sigmas=(1e-3, 1e-2), mask_probs=(1e-2, 1e-1), 
 
 def build_normalize_fn(model):
     """Sequence-list -> normalized coordinate array, in eval mode."""
-
-    def fn(seqs):
-        raw = stack_coords(seqs)
-        coords = _normalize_arrays(model, raw, training=False)
-        if model.normalizer == "chase":
-            coords = chase_forward(coords, model.clb)
-        return coords
-
-    return fn
+    return lambda seqs: _backbone_input(model, stack_coords(seqs))
 
 
 # --- checkpoint file format -------------------------------------------------

@@ -292,10 +292,8 @@ class TestReport:
         from chase.skeleton import s2com_global
 
         vanilla = report(test, stack_coords, repetitions=5, seed=2)
-        centered = report(
-            test, lambda seqs: np.stack([s2com_global(s).coords for s in seqs]),
-            repetitions=5, seed=2,
-        )
+        centered = report(test, lambda seqs: s2com_global(stack_coords(seqs)),
+                          repetitions=5, seed=2)
         for m in ("avg_kld", "jsd", "bd", "hd", "mmd"):
             assert centered.mean((0, 1), m) < vanilla.mean((0, 1), m)
 

@@ -9,7 +9,6 @@ from chase.skeleton import (
     CorruptionConfig,
     GraphPrior,
     SkeletonSequence,
-    augment_entity_permute,
     augment_random_shift,
     corrupt,
     khop_bones,
@@ -20,14 +19,28 @@ from chase.skeleton import (
 )
 
 
+# (N, C, T, J, E) batches with E in {2, 12} and T in {16, 64}
+BATCH_SHAPES = [(5, 2, 16, 3, 2), (4, 3, 64, 2, 12)]
+
+
+def random_coords(seed=0, shape=(2, 4, 3, 2)):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
 def random_seq(seed=0, shape=(2, 4, 3, 2), label=1):
-    g = np.random.default_rng(seed)
-    return SkeletonSequence(g.standard_normal(shape), label)
+    return SkeletonSequence(random_coords(seed, shape), label)
 
 
 def pairwise_dists(coords):
     pts = coords.reshape(coords.shape[0], -1).T
     return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+
+
+def assert_rows_match_single_samples(fn, batch):
+    out = fn(batch)
+    assert out.shape == batch.shape
+    for row, sample in zip(out, batch):
+        np.testing.assert_array_equal(row, fn(sample))
 
 
 class TestValidate:
@@ -52,30 +65,30 @@ class TestValidate:
 
 class TestS2ComPerEntity:
     def test_constant_entity_maps_to_zero(self):
-        seq = SkeletonSequence(np.full((2, 3, 4, 1), 7.5), 0)
-        np.testing.assert_allclose(s2com_per_entity(seq).coords, 0.0, atol=1e-12)
+        np.testing.assert_allclose(s2com_per_entity(np.full((2, 3, 4, 1), 7.5)), 0.0, atol=1e-12)
 
     def test_two_constant_entities_lose_offset(self):
         coords = np.zeros((2, 3, 4, 2))
         coords[:, :, :, 0] = 1.0
         coords[:, :, :, 1] = 9.0
-        out = s2com_per_entity(SkeletonSequence(coords, 0)).coords
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
+        np.testing.assert_allclose(s2com_per_entity(coords), 0.0, atol=1e-12)
 
     def test_per_entity_means_zero_and_shape_preserved(self):
-        seq = random_seq(3)
-        out = s2com_per_entity(seq)
-        means = out.coords.mean(axis=(1, 2))
-        np.testing.assert_allclose(means, 0.0, atol=1e-9)
-        for e in range(seq.coords.shape[3]):
+        coords = random_coords(3)
+        out = s2com_per_entity(coords)
+        np.testing.assert_allclose(out.mean(axis=(1, 2)), 0.0, atol=1e-9)
+        for e in range(coords.shape[3]):
             np.testing.assert_allclose(
-                pairwise_dists(out.coords[..., e]), pairwise_dists(seq.coords[..., e]), atol=1e-9
+                pairwise_dists(out[..., e]), pairwise_dists(coords[..., e]), atol=1e-9
             )
 
     def test_fixed_point(self):
-        once = s2com_per_entity(random_seq(4))
-        twice = s2com_per_entity(once)
-        np.testing.assert_allclose(twice.coords, once.coords, atol=1e-12)
+        once = s2com_per_entity(random_coords(4))
+        np.testing.assert_allclose(s2com_per_entity(once), once, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_batch_rows_match_single_samples(self, shape):
+        assert_rows_match_single_samples(s2com_per_entity, random_coords(21, shape))
 
 
 class TestS2ComGlobal:
@@ -83,55 +96,63 @@ class TestS2ComGlobal:
         coords = np.zeros((2, 1, 1, 2))
         coords[:, 0, 0, 0] = [0.0, 0.0]
         coords[:, 0, 0, 1] = [2.0, 0.0]
-        out = s2com_global(SkeletonSequence(coords, 0)).coords
+        out = s2com_global(coords)
         np.testing.assert_allclose(out[:, 0, 0, 0], [-1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(out[:, 0, 0, 1], [1.0, 0.0], atol=1e-12)
 
     def test_idempotent_on_centered(self):
-        centered = s2com_global(random_seq(5))
-        again = s2com_global(centered)
-        np.testing.assert_allclose(again.coords, centered.coords, atol=1e-12)
+        centered = s2com_global(random_coords(5))
+        np.testing.assert_allclose(s2com_global(centered), centered, atol=1e-12)
 
     def test_inter_entity_offsets_preserved(self):
-        seq = random_seq(6)
-        out = s2com_global(seq)
+        coords = random_coords(6)
+        out = s2com_global(coords)
         np.testing.assert_allclose(
-            out.coords[..., 1] - out.coords[..., 0],
-            seq.coords[..., 1] - seq.coords[..., 0],
-            atol=0,
+            out[..., 1] - out[..., 0], coords[..., 1] - coords[..., 0], atol=0
         )
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_translation_invariance(self, seed):
-        seq = random_seq(seed)
+        coords = random_coords(seed)
         t = np.random.default_rng(seed + 1).uniform(-50, 50, size=2)
-        shifted = seq.with_coords(seq.coords + t.reshape(-1, 1, 1, 1))
-        np.testing.assert_allclose(
-            s2com_global(shifted).coords, s2com_global(seq).coords, atol=1e-9
-        )
+        shifted = coords + t.reshape(-1, 1, 1, 1)
+        np.testing.assert_allclose(s2com_global(shifted), s2com_global(coords), atol=1e-9)
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_batch_rows_match_single_samples(self, shape):
+        assert_rows_match_single_samples(s2com_global, random_coords(22, shape))
 
 
 class TestStdScale:
     def test_unit_spread_channel_unchanged(self):
         coords = np.array([-1.0, 1.0]).reshape(1, 2, 1, 1).repeat(2, axis=0)
-        out = std_scale(SkeletonSequence(coords, 0)).coords
-        np.testing.assert_allclose(out, coords, atol=1e-12)
+        np.testing.assert_allclose(std_scale(coords), coords, atol=1e-12)
 
     def test_scaling_oracle(self):
         coords = np.array([-2.0, 2.0]).reshape(1, 2, 1, 1).repeat(2, axis=0)
-        out = std_scale(SkeletonSequence(coords, 0)).coords
+        out = std_scale(coords)
         np.testing.assert_allclose(np.sort(out[0].ravel()), [-1.0, 1.0], atol=1e-12)
 
     def test_output_channel_std_is_one(self):
-        out = std_scale(random_seq(7)).coords
+        out = std_scale(random_coords(7))
         np.testing.assert_allclose(out.std(axis=(1, 2, 3)), 1.0, atol=1e-9)
 
     def test_constant_channel_rejected(self):
         coords = np.zeros((2, 2, 2, 1))
         coords[0] = np.random.default_rng(0).standard_normal((2, 2, 1))
         with pytest.raises(DegenerateInputError, match="channel 1"):
-            std_scale(SkeletonSequence(coords, 0))
+            std_scale(coords)
+
+    def test_constant_channel_in_batch_names_the_sample(self):
+        batch = random_coords(8, (4, 2, 2, 2, 1))
+        batch[2, 1] = 3.0
+        with pytest.raises(DegenerateInputError, match="sample 2, channel 1"):
+            std_scale(batch)
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_batch_rows_match_single_samples(self, shape):
+        assert_rows_match_single_samples(std_scale, random_coords(23, shape))
 
 
 class TestBatchNorm:
@@ -173,44 +194,32 @@ class TestBatchNorm:
 
 class TestAugment:
     def test_zero_range_is_identity(self):
-        seq = random_seq(9)
-        np.testing.assert_array_equal(augment_random_shift(seq, 0.0, 3).coords, seq.coords)
+        coords = random_coords(9)
+        np.testing.assert_array_equal(augment_random_shift(coords, 0.0, 3), coords)
 
     def test_seeded_shift_reproducible(self):
-        seq = random_seq(10)
-        a = augment_random_shift(seq, 2.0, 42).coords
-        b = augment_random_shift(seq, 2.0, 42).coords
+        coords = random_coords(10)
+        a = augment_random_shift(coords, 2.0, 42)
+        b = augment_random_shift(coords, 2.0, 42)
         np.testing.assert_array_equal(a, b)
 
     def test_shift_is_isometry(self):
-        seq = random_seq(11)
-        out = augment_random_shift(seq, 5.0, 1)
-        np.testing.assert_allclose(pairwise_dists(out.coords), pairwise_dists(seq.coords), atol=1e-9)
+        coords = random_coords(11)
+        out = augment_random_shift(coords, 5.0, 1)
+        np.testing.assert_allclose(pairwise_dists(out), pairwise_dists(coords), atol=1e-9)
 
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError):
-            augment_random_shift(random_seq(11), -1.0, 0)
+            augment_random_shift(random_coords(11), -1.0, 0)
 
-    def test_permute_single_entity_identity(self):
-        seq = random_seq(12, shape=(2, 3, 4, 1))
-        np.testing.assert_array_equal(augment_entity_permute(seq, 0).coords, seq.coords)
-
-    def test_permute_preserves_entity_multiset(self):
-        seq = random_seq(13, shape=(2, 3, 4, 3))
-        out = augment_entity_permute(seq, 5)
-        orig = {seq.coords[..., e].tobytes() for e in range(3)}
-        permuted = {out.coords[..., e].tobytes() for e in range(3)}
-        assert orig == permuted
-
-    def test_swap_exchanges_entities_exactly(self):
-        seq = random_seq(14, shape=(2, 2, 2, 2))
-        for seed in range(20):
-            out = augment_entity_permute(seq, seed)
-            if not np.array_equal(out.coords, seq.coords):
-                np.testing.assert_array_equal(out.coords[..., 0], seq.coords[..., 1])
-                np.testing.assert_array_equal(out.coords[..., 1], seq.coords[..., 0])
-                return
-        pytest.fail("no swap drawn in 20 seeds")
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_batch_draws_one_shift_per_sample_and_channel(self, shape):
+        batch = random_coords(24, shape)
+        out = augment_random_shift(batch, 2.0, [7, 4, 0, 3])
+        np.testing.assert_array_equal(out[0], augment_random_shift(batch[0], 2.0, [7, 4, 0, 3]))
+        shifts = np.random.default_rng([7, 4, 0, 3]).uniform(-2.0, 2.0, size=shape[:2])
+        for row, sample, shift in zip(out, batch, shifts):
+            np.testing.assert_array_equal(row, sample + shift.reshape(-1, 1, 1, 1))
 
 
 class TestCorrupt:

@@ -35,11 +35,10 @@ class TestGenerator:
     def test_zero_relative_scale_kills_labels_after_per_entity_centering(self):
         cfg = small_cfg(relative_geometry_scale=0.0, motion_noise=0.05)
         train, _ = synth_generate(cfg)
-        centered = [s2com_per_entity(s) for s in train]
         # class centroids of per-entity-centered data coincide up to noise
         per_class = {}
-        for s in centered:
-            per_class.setdefault(s.label, []).append(s.coords)
+        for s in train:
+            per_class.setdefault(s.label, []).append(s2com_per_entity(s.coords))
         means = {k: np.mean(v, axis=0) for k, v in per_class.items()}
         ref = means[0]
         for k in range(1, cfg.num_classes):
